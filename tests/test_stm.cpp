@@ -354,37 +354,51 @@ TEST(StmTagged, NoFalseConflictsEver) {
 TEST(StmTagless, FalseConflictRateExceedsTagged) {
     // Same workload, same small table size: the tagless organization must
     // abort at least as much as the tagged one (and in practice much more).
-    auto run = [](BackendKind kind) {
+    //
+    // Each thread works on its own quarter. Conflicts are tracked per 64-byte
+    // block (the default block_bytes), so the quarters must be disjoint per
+    // block, not just per word: 64 eight-byte TVars are 8 whole blocks, and
+    // alignas(64) starts each quarter on a block boundary. Without it the
+    // vector gets only operator new's 16-byte alignment, so a block could
+    // straddle two quarters and give a true conflict.
+    struct alignas(64) Quarter { TVar<long> vars[64]; };
+    static_assert(sizeof(Quarter) % 64 == 0, "a quarter is whole blocks");
+    auto run = [](BackendKind kind, StmStats& out) {
         StmConfig cfg;
         cfg.backend = kind;
         cfg.table.entries = 64;
         cfg.contention.policy = ContentionPolicy::kYield;
         Stm tm(cfg);
-        std::vector<TVar<long>> vars(256);
+        std::vector<Quarter> quarters(4);
+        ASSERT_EQ(reinterpret_cast<std::uintptr_t>(quarters.data()) % 64, 0u)
+            << "quarters must start on a block boundary";
         std::vector<std::thread> threads;
         for (int t = 0; t < 4; ++t) {
             threads.emplace_back([&, t] {
                 util::Xoshiro256 rng{static_cast<std::uint64_t>(t) * 7 + 1};
                 for (int i = 0; i < 250; ++i) {
-                    // Each thread works on its own quarter: disjoint data.
-                    const std::size_t base = static_cast<std::size_t>(t) * 64;
-                    const auto idx = base + static_cast<std::size_t>(rng.below(64));
+                    auto& var = quarters[static_cast<std::size_t>(t)]
+                                    .vars[rng.below(64)];
                     tm.atomically([&](Transaction& tx) {
-                        vars[idx].write(tx, vars[idx].read(tx) + 1);
+                        var.write(tx, var.read(tx) + 1);
                     });
                 }
             });
         }
         for (auto& th : threads) th.join();
-        return tm.stats();
+        out = tm.stats();
     };
 
-    const auto tagless = run(BackendKind::kTaglessTable);
-    const auto tagged = run(BackendKind::kTaggedTable);
+    StmStats tagless;
+    StmStats tagged;
+    ASSERT_NO_FATAL_FAILURE(run(BackendKind::kTaglessTable, tagless));
+    ASSERT_NO_FATAL_FAILURE(run(BackendKind::kTaggedTable, tagged));
     EXPECT_EQ(tagged.false_conflicts, 0u);
     EXPECT_GE(tagless.false_conflicts, tagged.false_conflicts);
-    EXPECT_EQ(tagless.true_conflicts, 0u);
-    EXPECT_EQ(tagged.true_conflicts, 0u);
+    EXPECT_EQ(tagless.true_conflicts, 0u)
+        << "quarters are block-disjoint; every conflict must be false";
+    EXPECT_EQ(tagged.true_conflicts, 0u)
+        << "quarters are block-disjoint; every conflict must be false";
 }
 
 TEST(StmRuntime, ToStringNames) {
